@@ -5,9 +5,12 @@
 * :mod:`repro.core.ensemble` — majority voting, the variance-of-softmax
   confidence matrix, and confidence-weighted voting;
 * :mod:`repro.core.policies` — complete system configurations
-  (RR / AAS / AASR / Origin) and the two fully-powered baselines.
+  (RR / AAS / AASR / Origin) and the two fully-powered baselines;
+* :mod:`repro.core.engine` / :mod:`repro.core.decision_kernel` — one
+  slot of host logic for one run, and for a whole batch as lane arrays.
 """
 
+from repro.core.decision_kernel import DecisionKernel, LaneRun
 from repro.core.engine import DecisionEngine, NodeSlotState, make_vote
 from repro.core.ensemble import (
     ConfidenceMatrix,
@@ -36,6 +39,8 @@ from repro.core.policies import (
 )
 
 __all__ = [
+    "DecisionKernel",
+    "LaneRun",
     "DecisionEngine",
     "NodeSlotState",
     "make_vote",

@@ -5,12 +5,15 @@ vote, observe — used to live inline in :meth:`HARExperiment.run`'s
 scalar loop, duplicated in the vectorized kernel's per-slot epilogue,
 and was therefore unusable anywhere a simulation loop was not running.
 :class:`DecisionEngine` extracts it behind a two-phase per-slot API so
-the same object drives all three consumers:
+the same object drives both per-run consumers:
 
 * the scalar experiment loop (physics stepped by ``BodyAreaNetwork``),
-* the vectorized kernel (physics advanced as lane arrays),
 * an online serving session (:mod:`repro.serve`), where the "physics"
   is a remote device streaming its own state and reports.
+
+The vectorized kernel batches many runs and decides them all at once
+with :class:`~repro.core.decision_kernel.DecisionKernel`, a lane-array
+copy of this engine's statements that the engine checks in the tests.
 
 The contract is byte-identity: the engine executes the exact statements
 the scalar loop executed, in the same order, so extracting it changes

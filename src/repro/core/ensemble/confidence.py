@@ -156,6 +156,22 @@ class ConfidenceMatrix:
         """``(n_nodes, n_classes)`` matrix, rows ordered by node id."""
         return np.stack([self._weights[node_id] for node_id in self.node_ids])
 
+    def rows_of(self, node_ids: Sequence[int]) -> np.ndarray:
+        """``(len(node_ids), n_classes)`` copy of the rows, in that order."""
+        for node_id in node_ids:
+            self.weight(node_id, 0)  # validates node ids
+        return np.stack([self._weights[int(node_id)] for node_id in node_ids])
+
+    def absorb(self, node_ids: Sequence[int], rows: np.ndarray, *, updates: int) -> None:
+        """Take over rows adapted elsewhere, counting their ``updates``.
+
+        The write-back of a batched run that adapted a stacked copy of
+        this matrix (see :class:`~repro.core.decision_kernel.DecisionKernel`).
+        """
+        for node_id, row in zip(node_ids, rows):
+            self._weights[int(node_id)][:] = row
+        self._updates += int(updates)
+
     # ------------------------------------------------------------------
     # adaptation
     # ------------------------------------------------------------------

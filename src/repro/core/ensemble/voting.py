@@ -16,6 +16,10 @@ from repro.errors import ConfigurationError
 from repro.wsn.host import ReceivedVote
 
 
+#: :class:`WeightedMajorityVote`'s default share of the transmitted score.
+DEFAULT_BLEND = 0.5
+
+
 class MajorityVote:
     """Unweighted majority over the recalled votes.
 
@@ -63,7 +67,9 @@ class WeightedMajorityVote:
 
     name = "confidence-weighted"
 
-    def __init__(self, confidence: ConfidenceMatrix, *, blend: float = 0.5) -> None:
+    def __init__(
+        self, confidence: ConfidenceMatrix, *, blend: float = DEFAULT_BLEND
+    ) -> None:
         if not isinstance(confidence, ConfidenceMatrix):
             raise ConfigurationError("confidence must be a ConfidenceMatrix")
         if not 0.0 <= blend <= 1.0:

@@ -212,21 +212,42 @@ class PowerTraceGenerator:
 
     # ------------------------------------------------------------------
 
-    def state_sequence(self, duration_s: float, seed: SeedLike = None) -> List[OfficeState]:
-        """Per-sample office state over ``duration_s`` seconds."""
+    def _dwell_runs(self, duration_s: float, rng: np.random.Generator):
+        """The state sequence as dwell runs: ``(states, lengths, n_samples)``.
+
+        The runs cover at least ``n_samples`` samples; the last one may
+        overshoot and is cut by the callers.
+        """
         check_positive("duration_s", duration_s)
-        rng = as_generator(seed)
         n_samples = int(np.ceil(duration_s / self.dt_s))
         states: List[OfficeState] = []
+        lengths: List[int] = []
         all_states = list(OfficeState)
         current = OfficeState.QUIET
-        while len(states) < n_samples:
+        covered = 0
+        while covered < n_samples:
             dwell_s = rng.exponential(self._params[current].mean_dwell_s)
             n_dwell = max(int(round(dwell_s / self.dt_s)), 1)
-            states.extend([current] * n_dwell)
+            states.append(current)
+            lengths.append(n_dwell)
+            covered += n_dwell
             others = [state for state in all_states if state is not current]
             current = others[int(rng.integers(len(others)))]
-        return states[:n_samples]
+        return states, lengths, n_samples
+
+    def state_sequence(self, duration_s: float, seed: SeedLike = None) -> List[OfficeState]:
+        """Per-sample office state over ``duration_s`` seconds."""
+        states, lengths, n_samples = self._dwell_runs(duration_s, as_generator(seed))
+        sequence: List[OfficeState] = []
+        for state, n_dwell in zip(states, lengths):
+            sequence.extend([state] * n_dwell)
+        return sequence[:n_samples]
+
+    def _base_power(self, duration_s: float, rng: np.random.Generator) -> np.ndarray:
+        """Per-sample mean power of the state sequence, repeated run by run."""
+        states, lengths, n_samples = self._dwell_runs(duration_s, rng)
+        power = np.array([self._params[state].mean_power_w for state in states])
+        return np.repeat(power, lengths)[:n_samples]
 
     def _fade(self, rng: np.random.Generator, n_samples: int) -> np.ndarray:
         if self.fading_sigma == 0:
@@ -240,8 +261,7 @@ class PowerTraceGenerator:
     ) -> PowerTrace:
         """One independent trace."""
         rng = as_generator(seed)
-        states = self.state_sequence(duration_s, rng)
-        base = np.array([self._params[state].mean_power_w for state in states])
+        base = self._base_power(duration_s, rng)
         return PowerTrace(self.dt_s, base * self._fade(rng, base.size) * gain)
 
     def generate_correlated(
@@ -261,8 +281,7 @@ class PowerTraceGenerator:
         if any(g < 0 for g in gains):
             raise ConfigurationError("gains must be >= 0")
         rng = as_generator(seed)
-        states = self.state_sequence(duration_s, rng)
-        base = np.array([self._params[state].mean_power_w for state in states])
+        base = self._base_power(duration_s, rng)
         return [
             PowerTrace(self.dt_s, base * self._fade(rng, base.size) * gain)
             for gain in gains

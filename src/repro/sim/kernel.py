@@ -14,10 +14,15 @@ Two stages:
   fixed activation schedule — the python slot loop replaced by the
   kernel, producing the same :class:`~repro.wsn.node.InferenceOutcome`
   stream and :class:`~repro.wsn.node.NodeStats`.
-* :func:`run_policy_batch` (stage 2) advances *many runs at once*: every
-  policy of a sweep cell shares one batched timeline, while the
-  schedulers, host devices, voting and confidence matrices remain the
-  real python objects, fed per-run from the lane state.
+* :func:`run_policy_batch` / :func:`run_group_batch` (stage 2) advance
+  *many runs at once*: every policy of a sweep cell, or every user of a
+  fleet shard, is a block of lanes of one kernel.  The host side of
+  every run — ER-r/AAS scheduling, recall memory, voting, confidence
+  adaptation and link energy — is a
+  :class:`~repro.core.decision_kernel.DecisionKernel` over the same
+  lanes, so a slot of the whole batch is a fixed number of numpy
+  statements; only the final :class:`~repro.sim.results.SlotRecord`
+  lists are built per run, after the loop.
 
 Byte-identity contract
 ----------------------
@@ -34,7 +39,9 @@ gate.  Two consequences shape the design:
   Vectorization happens across *lanes*, not slots.
 * Everything with cross-node or cross-slot feedback (scheduling, host
   recall, voting, confidence adaptation, link accounting) is executed by
-  the unmodified python objects, so identity holds by construction.
+  the decision kernel, which repeats
+  :class:`~repro.core.engine.DecisionEngine`'s float operations in the
+  engine's order (see :mod:`repro.core.decision_kernel`).
 
 Scalar-fallback rules
 ---------------------
@@ -49,12 +56,12 @@ imperatively).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.engine import DecisionEngine, NodeSlotState
+from repro.core.decision_kernel import DecisionKernel, LaneRun
 from repro.core.policies import PolicySpec
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.predcache import RunMaterial, build_run_material, default_subject
@@ -454,6 +461,9 @@ def run_node_schedule(
     predicted = probabilities.argmax(axis=1)
     confidences = np.var(probabilities, axis=1)
 
+    comm = node.comm if mutate_comm else CommLink(node.comm.profile)
+    node_id, location = node.node_id, node.location
+
     outcomes: List[InferenceOutcome] = []
     active = np.zeros(1, dtype=bool)
     for slot in range(n_slots):
@@ -461,88 +471,44 @@ def run_node_schedule(
         events = kernel.advance(slot, active)
         if not active[0]:
             continue
-        outcomes.append(
-            _lane_outcome(
-                events,
-                0,
-                node_id=node.node_id,
-                location=node.location,
-                slot=slot,
-                probabilities=probabilities,
-                predicted=predicted,
-                confidences=confidences,
-                comm=node.comm if mutate_comm else CommLink(node.comm.profile),
-                result_message_bytes=node.costs.result_message_bytes,
+        # The lane's slot outcome, in the scalar path's field order.
+        if events.sense_fail[0]:
+            outcome = InferenceOutcome(
+                node_id, location, slot, slot, False,
+                energy_consumed_j=float(events.sense_paid[0]),
             )
-        )
+        elif not events.completed[0]:
+            outcome = InferenceOutcome(
+                node_id, location, slot, int(events.started[0]), False,
+                energy_consumed_j=float(events.burst_consumed[0]),
+            )
+        else:
+            started_slot = int(events.started[0])
+            label = int(predicted[started_slot])
+            # The real link transmits, so its message/energy counters
+            # (and any delivery hook) match the scalar path; the
+            # capacitor-side draw already happened in advance().
+            sent = comm.transmit(node.costs.result_message_bytes, slot, label)
+            outcome = InferenceOutcome(
+                node_id=node_id,
+                location=location,
+                slot_index=slot,
+                started_slot=started_slot,
+                completed=True,
+                predicted_label=label,
+                probabilities=probabilities[started_slot],
+                confidence=float(confidences[started_slot]),
+                energy_consumed_j=float(events.burst_consumed[0] + events.comm_paid[0]),
+                delivered=sent.delivery.delivered,
+                reported_label=(sent.delivery.label if sent.delivery.corrupted else None),
+            )
+        outcomes.append(outcome)
     return outcomes, kernel.lane_stats(0)
-
-
-def _lane_outcome(
-    events: SlotEvents,
-    lane: int,
-    *,
-    node_id: int,
-    location,
-    slot: int,
-    probabilities: np.ndarray,
-    predicted: np.ndarray,
-    confidences: np.ndarray,
-    comm: CommLink,
-    result_message_bytes: int,
-) -> InferenceOutcome:
-    """Materialize one active lane's slot outcome (scalar field order)."""
-    if events.sense_fail[lane]:
-        return InferenceOutcome(
-            node_id, location, slot, slot, False,
-            energy_consumed_j=float(events.sense_paid[lane]),
-        )
-    if not events.completed[lane]:
-        return InferenceOutcome(
-            node_id, location, slot, int(events.started[lane]), False,
-            energy_consumed_j=float(events.burst_consumed[lane]),
-        )
-    started_slot = int(events.started[lane])
-    label = int(predicted[started_slot])
-    # The real link transmits, so message/energy counters (and any
-    # delivery hook, though eligible runs have none) match the scalar
-    # path; the capacitor-side draw already happened in advance().
-    sent = comm.transmit(result_message_bytes, slot, label)
-    return InferenceOutcome(
-        node_id=node_id,
-        location=location,
-        slot_index=slot,
-        started_slot=started_slot,
-        completed=True,
-        predicted_label=label,
-        probabilities=probabilities[started_slot],
-        confidence=float(confidences[started_slot]),
-        energy_consumed_j=float(events.burst_consumed[lane] + events.comm_paid[lane]),
-        delivered=sent.delivery.delivered,
-        reported_label=(sent.delivery.label if sent.delivery.corrupted else None),
-    )
 
 
 # ---------------------------------------------------------------------------
 # stage 2: batched policy runs (and stage 3: heterogeneous groups)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _RunState:
-    """The real python objects of one policy run, fed from lane state.
-
-    ``core`` is the shared :class:`~repro.core.engine.DecisionEngine`
-    (scheduler + host recall/vote + confidence adaptation) — the same
-    object the scalar loop and the serving path drive, fed here from
-    the lane arrays.
-    """
-
-    spec: PolicySpec
-    core: DecisionEngine
-    comms: List[CommLink]
-    result: ExperimentResult
-    active_ids: List[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -572,24 +538,44 @@ class BatchGroup:
 
 @dataclass
 class _GroupState:
-    """One group's prepared objects plus its lane offset in the batch."""
+    """One group's prepared inputs."""
 
-    nodes: List[SensorNode]
     node_ids: List[int]
-    material: RunMaterial
-    true_labels: List[int]
-    class_predictions: dict
-    runs: List[_RunState]
+    material: int  # index into the batch's _MaterialTable
+    policies: List[PolicySpec]
+    runs: List[LaneRun]
     n_slots: int
-    base: int = 0
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
 
 
-def _prepare_group(experiment, group: BatchGroup) -> tuple:
-    """Materialize one group's nodes, material and run objects.
+class _MaterialTable:
+    """Each distinct material of a batch once: true labels and predictions.
+
+    A fleet shard shares a few materials among hundreds of users, so
+    labels and prediction rows are gathered per material, not per group.
+    """
+
+    def __init__(self, experiment) -> None:
+        self._spec = experiment.dataset.spec
+        self._index: dict = {}
+        self._materials: List[RunMaterial] = []  # keeps every id() alive
+        self.true_labels: List[List[int]] = []
+        self.predicted: List[np.ndarray] = []  # (n_nodes, n_slots) argmax labels
+        self.confidences: List[np.ndarray] = []  # (n_nodes, n_slots) variances
+
+    def index(self, material: RunMaterial, node_ids: Sequence[int]) -> int:
+        key = id(material)
+        if key not in self._index:
+            self._index[key] = len(self._materials)
+            self._materials.append(material)
+            predictions = material.class_predictions()
+            self.true_labels.append([self._spec.label_of(label) for label in material.labels])
+            self.predicted.append(np.stack([predictions[n][0] for n in node_ids]))
+            self.confidences.append(np.stack([predictions[n][1] for n in node_ids]))
+        return self._index[key]
+
+
+def _prepare_group(experiment, group: BatchGroup, table: _MaterialTable) -> tuple:
+    """Materialize one group's nodes, material and decision runs.
 
     Returns ``(_GroupState, SlotKernel)`` — the kernel holds the
     group's ``len(policies) * len(nodes)`` fresh lanes, ready to be
@@ -600,7 +586,6 @@ def _prepare_group(experiment, group: BatchGroup) -> tuple:
         raise ConfigurationError("a batch group needs at least one policy")
     config = group.config if group.config is not None else experiment.config
     run_seed = int(group.seed)
-    dataset_spec = experiment.dataset.spec
     subject = group.subject or default_subject(experiment.dataset)
     confidence_matrices = group.confidence_matrices
     if confidence_matrices is None:
@@ -644,50 +629,22 @@ def _prepare_group(experiment, group: BatchGroup) -> tuple:
     node_ids = [node.node_id for node in nodes]
     n_slots = config.n_windows
     kernel = SlotKernel.from_nodes(nodes, n_runs=len(policies), n_slots=n_slots)
-    class_predictions = material.class_predictions()
-    true_labels = [dataset_spec.label_of(label) for label in material.labels]
-
-    runs: List[_RunState] = []
-    for spec, matrix in zip(policies, confidence_matrices):
-        if matrix is not None:
-            confidence = matrix
-        else:
-            alpha = (
-                experiment.bundle.confidence_matrix.adaptation_alpha
-                if spec.adaptive_confidence
-                else 0.0
-            )
-            confidence = experiment.bundle.confidence_matrix.copy(
-                adaptation_alpha=alpha
-            )
-        core = DecisionEngine(
-            spec,
-            node_ids,
-            experiment.bundle.rank_table,
-            confidence,
+    index = table.index(material, node_ids)
+    bundle_matrix = experiment.bundle.confidence_matrix
+    runs = [
+        LaneRun(
+            policy=spec,
+            # A fresh run adapts a private copy of the bundle's matrix
+            # (alpha only matters to adaptive policies).
+            confidence=bundle_matrix if matrix is None else matrix,
+            material=index,
             max_recall_age_slots=config.max_recall_age_slots,
-            staleness_half_life_slots=None,
+            write_back=matrix is not None,
         )
-        runs.append(
-            _RunState(
-                spec=spec,
-                core=core,
-                comms=[CommLink(config.radio) for _ in nodes],
-                result=ExperimentResult(
-                    policy_name=spec.name,
-                    activities=list(dataset_spec.activities),
-                ),
-            )
-        )
-
+        for spec, matrix in zip(policies, confidence_matrices)
+    ]
     state = _GroupState(
-        nodes=nodes,
-        node_ids=node_ids,
-        material=material,
-        true_labels=true_labels,
-        class_predictions=class_predictions,
-        runs=runs,
-        n_slots=n_slots,
+        node_ids=node_ids, material=index, policies=policies, runs=runs, n_slots=n_slots
     )
     return state, kernel
 
@@ -703,14 +660,16 @@ def run_group_batch(
     own ``policies x nodes`` lane block to one stacked
     :class:`SlotKernel`, so the whole cohort's physics advances with
     one numpy statement per rule per slot instead of one kernel
-    invocation per user.  Schedulers, hosts, voting and confidence
-    matrices remain per-run python objects fed from their lanes.
+    invocation per user.  The host side — scheduling, recall, voting
+    and confidence adaptation of every run — is one
+    :class:`~repro.core.decision_kernel.DecisionKernel` over the same
+    lanes.
 
     Returns one ``List[ExperimentResult]`` per group (one entry per
     policy, in order).  Every result is byte-identical to running that
     group's ``(policy, seed, config)`` alone through
     ``HARExperiment.run`` — per-lane physics is elementwise, and the
-    per-run epilogue executes the same statements in the same order.
+    decision kernel repeats the engine's float operations in order.
 
     All groups must share one slot count (``config.n_windows``).
     """
@@ -718,120 +677,102 @@ def run_group_batch(
     if not groups:
         return []
 
-    states: List[_GroupState] = []
-    kernels: List[SlotKernel] = []
-    base = 0
-    for group in groups:
-        state, group_kernel = _prepare_group(experiment, group)
-        state.base = base
-        base += group_kernel.n_lanes
-        states.append(state)
-        kernels.append(group_kernel)
+    table = _MaterialTable(experiment)
+    prepared = [_prepare_group(experiment, group, table) for group in groups]
+    states = [state for state, _ in prepared]
     n_slots = states[0].n_slots
+    node_ids = states[0].node_ids
     for state in states[1:]:
         if state.n_slots != n_slots:
             raise ConfigurationError(
                 f"all groups of a batch must share n_windows "
                 f"({state.n_slots} != {n_slots})"
             )
-    kernel = SlotKernel.stack(kernels)
+        if state.node_ids != node_ids:
+            raise ConfigurationError("all groups of a batch must share their nodes")
+    kernel = SlotKernel.stack([group_kernel for _, group_kernel in prepared])
+    decisions = DecisionKernel(
+        [run for state in states for run in state.runs],
+        node_ids,
+        experiment.bundle.rank_table,
+        predicted=np.stack(table.predicted),
+        confidences=np.stack(table.confidences),
+        comm_cost_j=kernel.comm_cost_j,
+        n_slots=n_slots,
+    )
 
     logger.debug(
         "kernel batch: %d group(s), %d lanes x %d slots",
         len(states), kernel.n_lanes, n_slots,
     )
-
-    stored = kernel.stored
-    active_mask = np.zeros(kernel.n_lanes, dtype=bool)
-    lane_of = {}
-    for g, state in enumerate(states):
-        for r in range(len(state.runs)):
-            for k, node_id in enumerate(state.node_ids):
-                lane_of[g, r, node_id] = state.base + r * state.n_nodes + k
-
     for slot in range(n_slots):
-        # Scheduling: the real scheduler objects, fed per-run contexts
-        # assembled from the lane arrays (the scalar path's dicts).
-        ready = kernel.ready_mask()
-        active_mask[:] = False
-        for g, state in enumerate(states):
-            node_ids = state.node_ids
-            n_nodes = state.n_nodes
-            for r, run in enumerate(state.runs):
-                run_base = state.base + r * n_nodes
-                run.active_ids = run.core.begin_slot(
-                    slot,
-                    {
-                        node_ids[k]: NodeSlotState(
-                            energy_j=float(stored[run_base + k]),
-                            ready=bool(ready[run_base + k]),
-                        )
-                        for k in range(n_nodes)
-                    },
-                )
-                for node_id in run.active_ids:
-                    active_mask[lane_of[g, r, node_id]] = True
+        active = decisions.begin(slot, kernel.ready_mask())
+        events = kernel.advance(slot, active)
+        decisions.finish(slot, events.completed, events.started)
+    decisions.write_back()
+    return _results(experiment, states, table, kernel, decisions)
 
-        events = kernel.advance(slot, active_mask)
 
-        # Epilogue: per run, materialize outcomes in node (construction)
-        # order and drive host/confidence/scheduler exactly as the
-        # scalar loop does.
-        for state in states:
-            material = state.material
-            true_label = state.true_labels[slot]
-            n_nodes = state.n_nodes
-            for r, run in enumerate(state.runs):
-                run_base = state.base + r * n_nodes
-                outcomes: List[InferenceOutcome] = []
-                for k, node in enumerate(state.nodes):
-                    lane = run_base + k
-                    if not active_mask[lane]:
-                        continue
-                    predicted, confidences = state.class_predictions[node.node_id]
-                    outcome = _lane_outcome(
-                        events,
-                        lane,
-                        node_id=node.node_id,
-                        location=node.location,
-                        slot=slot,
-                        probabilities=material.probabilities[node.node_id],
-                        predicted=predicted,
-                        confidences=confidences,
-                        comm=run.comms[k],
-                        result_message_bytes=node.costs.result_message_bytes,
-                    )
-                    outcomes.append(outcome)
-
-                final = run.core.finish_slot(slot, outcomes, receive=True)
-                run.result.records.append(
-                    SlotRecord(
-                        slot_index=slot,
-                        true_label=true_label,
-                        predicted_label=final,
-                        active_nodes=tuple(run.active_ids),
-                        completions=sum(1 for o in outcomes if o.completed),
-                        attempts=len(outcomes),
-                        dropped_messages=sum(
-                            1 for o in outcomes if o.completed and not o.delivered
-                        ),
-                    )
-                )
+def _results(
+    experiment, states, table: _MaterialTable, kernel: SlotKernel, decisions: DecisionKernel
+):
+    """Every run's :class:`ExperimentResult` from the batch's histories."""
+    n_slots, n_runs, n_nodes = decisions.n_slots, decisions.n_runs, decisions.n_nodes
+    node_ids = decisions.node_ids
+    active = decisions.active_history.reshape(n_slots, n_runs, n_nodes)
+    completed = decisions.completed_history.reshape(n_slots, n_runs, n_nodes)
+    # Active sets as node-order bitmasks -> the scheduler's id tuples.
+    codes = (active * (1 << np.arange(n_nodes))).sum(axis=2).T.tolist()
+    patterns = {
+        code: tuple(node_ids[k] for k in range(n_nodes) if code >> k & 1)
+        for code in set().union(*codes)
+    }
+    finals = decisions.final_history.T.tolist()
+    attempts = active.sum(axis=2).T.tolist()
+    completions = completed.sum(axis=2).T.tolist()
+    link_energy = decisions.link_energy_j.tolist()
+    updates = decisions.confidence_updates.tolist()
+    activities = experiment.dataset.spec.activities
 
     results: List[List[ExperimentResult]] = []
+    r = 0
     for state in states:
         group_results: List[ExperimentResult] = []
-        for r, run in enumerate(state.runs):
-            run_base = state.base + r * state.n_nodes
-            run.result.node_stats = {
-                state.node_ids[k]: kernel.lane_stats(run_base + k)
-                for k in range(state.n_nodes)
-            }
-            run.result.comm_energy_j = sum(
-                link.energy_spent_j for link in run.comms
+        for spec in state.policies:
+            lanes = range(r * n_nodes, (r + 1) * n_nodes)
+            records = [
+                SlotRecord(
+                    slot,
+                    true_label,
+                    None if final < 0 else final,
+                    patterns[code],
+                    n_completed,
+                    n_attempted,
+                )
+                for slot, true_label, final, code, n_completed, n_attempted in zip(
+                    range(n_slots),
+                    table.true_labels[state.material],
+                    finals[r],
+                    codes[r],
+                    completions[r],
+                    attempts[r],
+                )
+            ]
+            group_results.append(
+                ExperimentResult(
+                    policy_name=spec.name,
+                    activities=list(activities),
+                    records=records,
+                    node_stats={
+                        node_id: kernel.lane_stats(lane)
+                        for node_id, lane in zip(node_ids, lanes)
+                    },
+                    # The scalar path's sum over per-node links, in order.
+                    comm_energy_j=sum(link_energy[lane] for lane in lanes),
+                    confidence_updates=updates[r],
+                )
             )
-            run.result.confidence_updates = run.core.confidence_updates
-            group_results.append(run.result)
+            r += 1
         results.append(group_results)
     return results
 
@@ -850,9 +791,10 @@ def run_policy_batch(
 
     The stage-2 entry point: ``len(policies)`` runs advance in lockstep
     as lanes of one :class:`SlotKernel` (they share the seed's traces
-    and material), while each run keeps its own scheduler, host, voting,
-    confidence matrix and comm links — the scalar objects, driven
-    per-slot from the lane arrays.  Returns one
+    and material), and one
+    :class:`~repro.core.decision_kernel.DecisionKernel` makes every
+    run's scheduling, recall, voting and confidence decisions over the
+    same lanes.  Returns one
     :class:`~repro.sim.results.ExperimentResult` per policy, in order,
     byte-identical to ``experiment.run(policy, seed=seed, ...)``.
 

@@ -124,3 +124,52 @@ class TestPowerTraceGenerator:
             PowerTraceGenerator(fading_sigma=-0.5)
         with pytest.raises(ConfigurationError):
             PowerTraceGenerator().generate_correlated(10, [], seed=0)
+
+
+def _per_sample_states(gen, duration_s, rng):
+    """Reference state sequence, built sample by sample."""
+    n_samples = int(np.ceil(duration_s / gen.dt_s))
+    states = []
+    current = OfficeState.QUIET
+    while len(states) < n_samples:
+        dwell_s = rng.exponential(gen._params[current].mean_dwell_s)
+        states.extend([current] * max(int(round(dwell_s / gen.dt_s)), 1))
+        others = [state for state in OfficeState if state is not current]
+        current = others[int(rng.integers(len(others)))]
+    return states[:n_samples]
+
+
+def _per_sample_traces(gen, duration_s, gains, seed):
+    """Reference synthesis: per-sample state powers, then fading."""
+    rng = np.random.default_rng(seed)
+    states = _per_sample_states(gen, duration_s, rng)
+    base = np.array([gen._params[state].mean_power_w for state in states])
+    return [base * gen._fade(rng, base.size) * gain for gain in gains]
+
+
+class TestRunLengthSynthesis:
+    """Traces built from dwell runs equal the per-sample construction."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("duration_s", [0.1, 3.2, 60.0, 512.0, 3600.0])
+    def test_generate_correlated_matches_per_sample(self, seed, duration_s):
+        gen = PowerTraceGenerator()
+        gains = [1.0, 0.6, 1.4]
+        fast = gen.generate_correlated(duration_s, gains, seed=seed)
+        slow = _per_sample_traces(gen, duration_s, gains, seed)
+        for trace, watts in zip(fast, slow):
+            assert trace.watts.tobytes() == watts.tobytes()
+
+    @pytest.mark.parametrize("seed", [2, 5, 99])
+    @pytest.mark.parametrize("duration_s", [1.0, 256.0, 1800.0])
+    def test_generate_matches_per_sample(self, seed, duration_s):
+        gen = PowerTraceGenerator(state_dwell_s={OfficeState.BURST: 0.2})
+        fast = gen.generate(duration_s, seed=seed, gain=0.8)
+        (slow,) = _per_sample_traces(gen, duration_s, [0.8], seed)
+        assert fast.watts.tobytes() == slow.tobytes()
+
+    @pytest.mark.parametrize("duration_s", [0.1, 900.0])
+    def test_state_sequence_matches_per_sample(self, duration_s):
+        gen = PowerTraceGenerator()
+        reference = _per_sample_states(gen, duration_s, np.random.default_rng(4))
+        assert gen.state_sequence(duration_s, seed=4) == reference
