@@ -203,14 +203,15 @@ def synthesize_split(
     if not subjects:
         raise DatasetError("subjects must be non-empty")
     rng = as_generator(seed)
+    activities = [
+        activity for activity in spec.activities for _ in range(windows_per_activity)
+    ]
+    labels = np.repeat(np.arange(len(spec.activities)), windows_per_activity)
+    cycle = [subjects[index % len(subjects)] for index in range(windows_per_activity)]
     split: Dict[BodyLocation, LabeledWindows] = {}
     for location in spec.locations:
-        xs, ys = [], []
-        for label, activity in enumerate(spec.activities):
-            for index in range(windows_per_activity):
-                subject = subjects[index % len(subjects)]
-                xs.append(synthesizer.window(activity, location, subject, rng))
-                ys.append(label)
-        stacked = LabeledWindows(np.stack(xs), np.asarray(ys))
-        split[location] = stacked.shuffled(rng)
+        windows = synthesizer.batch(
+            activities, location, subject=cycle * len(spec.activities), seed=rng
+        )
+        split[location] = LabeledWindows(windows, labels).shuffled(rng)
     return split

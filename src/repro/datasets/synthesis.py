@@ -15,7 +15,7 @@ but never identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -68,6 +68,17 @@ class StyleWobble:
 #: Fixed per-axis phase offsets: axes of one rigid segment move with a
 #: stable relative phase (e.g. vertical acceleration leads the pitch).
 _AXIS_PHASE = np.array([0.0, 1.25, 2.1, 0.6, 1.9, 2.8])
+
+#: Direction of an impact burst on the three accelerometer axes.
+_IMPACT_DIRECTION = np.array([0.3, 1.0, 0.35])
+
+#: Windows whose waveforms are computed together.  Bounds the float64
+#: scratch of one :meth:`SignalSynthesizer.batch` call to three
+#: ``(block, channels, window_size)`` arrays and one ``(block, 3,
+#: window_size)`` impact block (~2.6 MiB at 128 samples).
+_BLOCK_WINDOWS = 128
+
+_TWO_PI = 2.0 * np.pi
 
 
 class SignalSynthesizer:
@@ -122,105 +133,255 @@ class SignalSynthesizer:
         ``None`` draws an independent wobble per call (fine for
         training data, wrong for simulating one instant on a body).
         """
-        return self.batch(
-            activity, location, count=1, subject=subject, seed=seed, style=style
-        )[0]
+        return self.batch(activity, location, 1, subject, seed, style=style)[0]
 
     def batch(
         self,
-        activity: Activity,
+        activity: Union[Activity, Sequence[Activity]],
         location: BodyLocation,
-        count: int,
-        subject: Optional[SubjectProfile] = None,
+        count: Optional[int] = None,
+        subject: Union[None, SubjectProfile, Sequence[SubjectProfile]] = None,
         seed: SeedLike = None,
         *,
-        style: Optional[StyleWobble] = None,
+        style: Union[None, StyleWobble, Sequence[Optional[StyleWobble]]] = None,
     ) -> np.ndarray:
-        """``count`` windows, shape ``(count, N_CHANNELS, window_size)``."""
+        """A stream of windows at ``location``, shape ``(count, N_CHANNELS, window_size)``.
+
+        ``activity``, ``subject`` and ``style`` each take one value shared
+        by every window or a sequence with one entry per window; ``count``
+        defaults to the length of those sequences.  A ``None`` style
+        draws a fresh wobble from the stream before each window.  Windows
+        consume the random stream in order, so the result (and the
+        generator's state afterwards) equals ``count`` successive
+        :meth:`window` calls on the same generator.
+        """
+        subject = subject or SubjectProfile.canonical()
+        if count is None:
+            lengths = [
+                len(value)
+                for value, kind in (
+                    (activity, Activity),
+                    (subject, SubjectProfile),
+                    (style, StyleWobble),
+                )
+                if value is not None and not isinstance(value, kind)
+            ]
+            if not lengths:
+                raise DatasetError("count is required without a per-window sequence")
+            count = lengths[0]
         if count < 1:
             raise DatasetError(f"count must be >= 1, got {count}")
+        activities = _per_window(activity, Activity, count, "activity")
+        subjects = _per_window(subject, SubjectProfile, count, "subject")
+        styles = _per_window(style, StyleWobble, count, "style")
         rng = as_generator(seed)
-        subject = subject or SubjectProfile.canonical()
-        signature = self.signatures.signature(location, activity)
-        noise_sigma = self.signatures.noise(location) * subject.noise_factor
 
+        kinds: Dict[Activity, int] = {}
+        signatures: List[ActivitySignature] = []
+        for item in activities:
+            if item not in kinds:
+                kinds[item] = len(signatures)
+                signatures.append(self.signatures.signature(location, item))
+        kind_of = np.fromiter((kinds[item] for item in activities), np.intp, count)
+        sensor_noise = self.signatures.noise(location)
+
+        # The output is allocated before the short-lived scratch, so the
+        # freed scratch does not leave a hole below a live array.
         windows = np.empty((count, N_CHANNELS, self.window_size), dtype=np.float32)
-        for index in range(count):
-            wobble = style if style is not None else StyleWobble.sample(rng)
-            windows[index] = self._one_window(
-                signature, subject, noise_sigma, wobble, rng
+        size = min(count, _BLOCK_WINDOWS)
+        shape = (size, N_CHANNELS, self.window_size)
+        signal, scratch, noise = np.empty(shape), np.empty(shape), np.empty(shape)
+        impacts = np.empty((size, 3, self.window_size))
+        for first in range(0, count, _BLOCK_WINDOWS):
+            last = min(first + _BLOCK_WINDOWS, count)
+            order = np.argsort(kind_of[first:last], kind="stable")
+            draws = self._draw_block(
+                signatures,
+                kind_of[first:last].tolist(),
+                order,
+                subjects[first:last],
+                styles[first:last],
+                sensor_noise,
+                noise,
+                impacts,
+                rng,
             )
+            self._render_block(signatures, draws, signal, scratch, noise, impacts)
+            windows[first:last][order] = signal[: last - first]
         return windows
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
-    def _one_window(
+    def _draw_block(
         self,
-        signature: ActivitySignature,
-        subject: SubjectProfile,
-        noise_sigma: float,
-        style: StyleWobble,
+        signatures: List[ActivitySignature],
+        kinds: List[int],
+        order: np.ndarray,
+        subjects: Sequence[SubjectProfile],
+        styles: Sequence[Optional[StyleWobble]],
+        sensor_noise: float,
+        noise: np.ndarray,
+        impacts: np.ndarray,
         rng: np.random.Generator,
-    ) -> np.ndarray:
-        jitter = signature.jitter
-        freq = (
-            signature.frequency_hz
-            * subject.frequency_scale
-            * style.frequency_scale
-            * float(np.exp(rng.normal(0.0, 0.03 + 0.25 * jitter)))
-        )
-        amp_scale = (
-            subject.amplitude_scale
-            * style.amplitude_scale
-            * float(np.exp(rng.normal(0.0, jitter)))
-        )
-        window_phase = float(rng.uniform(0.0, 2.0 * np.pi)) + subject.phase_offset
+    ) -> "_BlockDraws":
+        """Draw every random quantity of one block, window by window.
 
-        amplitudes = np.concatenate(
-            [np.asarray(signature.accel_amplitude), np.asarray(signature.gyro_amplitude)]
-        )
-        gravity = np.concatenate([np.asarray(signature.gravity), np.zeros(3)])
-
-        # Periodic component: harmonic series per channel.
-        signal = np.tile(gravity[:, None], (1, self.window_size)).astype(np.float64)
-        phases = _AXIS_PHASE[:, None] + window_phase
-        omega_t = 2.0 * np.pi * freq * self._time[None, :]
-        for order, weight in enumerate(signature.harmonics, start=1):
-            if weight <= 0:
-                continue
-            signal += (
-                amplitudes[:, None]
-                * amp_scale
-                * weight
-                * np.sin(order * omega_t + order * phases)
+        Windows are visited in stream order (the RNG order of the
+        per-window algorithm); each window's draws land in row
+        ``rank[window]`` so that rows of one signature are contiguous.
+        Noise rows of noiseless windows are ``-0.0``, the additive
+        identity, and impact bursts are scattered into ``impacts``.
+        """
+        n = len(kinds)
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        freq = np.empty(n)
+        amp_scale = np.empty(n)
+        phase = np.empty(n)
+        gains = np.empty((n, N_CHANNELS))
+        burst_rows: List[int] = []
+        burst_starts: List[int] = []
+        burst_lengths: List[int] = []
+        burst_scales: List[np.ndarray] = []
+        noise_shape = (N_CHANNELS, self.window_size)
+        impacts[:n] = 0.0
+        for index, row in enumerate(rank.tolist()):
+            signature = signatures[kinds[index]]
+            subject = subjects[index]
+            style = styles[index]
+            if style is None:
+                style = StyleWobble.sample(rng)
+            jitter = signature.jitter
+            window_freq = (
+                signature.frequency_hz
+                * subject.frequency_scale
+                * style.frequency_scale
+                * float(np.exp(rng.normal(0.0, 0.03 + 0.25 * jitter)))
             )
+            window_amp = (
+                subject.amplitude_scale
+                * style.amplitude_scale
+                * float(np.exp(rng.normal(0.0, jitter)))
+            )
+            freq[row] = window_freq
+            amp_scale[row] = window_amp
+            phase[row] = float(rng.uniform(0.0, 2.0 * np.pi)) + subject.phase_offset
+            gains[row] = subject.channel_gains
 
-        # Impact spikes at each footfall (decaying half-sine bursts on the
-        # accelerometer channels only).
-        if signature.impact > 0:
-            signal[:3] += self._impact_train(signature.impact * amp_scale, freq, rng)
+            # Impact spikes at each footfall: decaying bursts once per
+            # period, on the accelerometer axes only.
+            if signature.impact > 0:
+                period = max(int(self.sample_rate_hz / max(window_freq, 1e-3)), 2)
+                starts = range(int(rng.integers(0, period)), self.window_size, period)
+                if starts:
+                    amplitude = signature.impact * window_amp
+                    burst_rows.extend([row] * len(starts))
+                    burst_starts.extend(starts)
+                    burst_lengths.extend([max(period // 6, 2)] * len(starts))
+                    burst_scales.append(
+                        amplitude * np.exp(rng.normal(0.0, 0.2, size=len(starts)))
+                    )
 
-        # Per-channel subject gains and white sensor noise.
-        signal *= np.asarray(subject.channel_gains)[:, None]
-        if noise_sigma > 0:
-            signal += rng.normal(0.0, noise_sigma, size=signal.shape)
-        return signal.astype(np.float32)
+            noise_sigma = sensor_noise * subject.noise_factor
+            if noise_sigma > 0:
+                noise[row] = rng.normal(0.0, noise_sigma, size=noise_shape)
+            else:
+                noise[row] = -0.0
 
-    def _impact_train(
-        self, amplitude: float, freq: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sharp decaying impacts once per period, on 3 accel axes."""
-        impacts = np.zeros((3, self.window_size))
-        period_samples = max(int(self.sample_rate_hz / max(freq, 1e-3)), 2)
-        burst_len = max(period_samples // 6, 2)
-        decay = np.exp(-np.linspace(0.0, 4.0, burst_len))
-        start = int(rng.integers(0, period_samples))
-        direction = np.array([0.3, 1.0, 0.35])
-        while start < self.window_size:
-            stop = min(start + burst_len, self.window_size)
-            scale = amplitude * float(np.exp(rng.normal(0.0, 0.2)))
-            impacts[:, start:stop] += direction[:, None] * scale * decay[: stop - start]
-            start += period_samples
-        return impacts
+        if burst_rows:
+            self._scatter_impacts(
+                impacts[:n],
+                np.asarray(burst_rows),
+                np.asarray(burst_starts),
+                np.asarray(burst_lengths),
+                np.concatenate(burst_scales),
+            )
+        return _BlockDraws(np.sort(kinds), freq, amp_scale, phase, gains)
+
+    def _scatter_impacts(
+        self,
+        impacts: np.ndarray,
+        rows: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        scales: np.ndarray,
+    ) -> None:
+        """Write every burst of a block into the zeroed ``impacts`` in one scatter."""
+        span = np.arange(int(lengths.max()))
+        decay = np.zeros((len(lengths), len(span)))
+        for burst_len in set(lengths.tolist()):
+            decay[lengths == burst_len, :burst_len] = np.exp(
+                -np.linspace(0.0, 4.0, burst_len)
+            )
+        columns = starts[:, None] + span
+        inside = (span < lengths[:, None]) & (columns < self.window_size)
+        values = _IMPACT_DIRECTION[:, None, None] * scales[:, None] * decay
+        flat = (rows[:, None] * 3 + np.arange(3)[:, None, None]) * self.window_size
+        impacts.reshape(-1)[(flat + columns)[:, inside]] = values[:, inside]
+
+    def _render_block(
+        self,
+        signatures: List[ActivitySignature],
+        draws: "_BlockDraws",
+        signal: np.ndarray,
+        scratch: np.ndarray,
+        noise: np.ndarray,
+        impacts: np.ndarray,
+    ) -> None:
+        """Evaluate ``x_c(t)`` for a block's rows into ``signal`` (float64).
+
+        Each signature's rows are computed together, repeating the
+        per-window float operations in order: gravity, then every
+        positive-weight harmonic, then impacts, channel gains and noise.
+        """
+        kinds = draws.kinds
+        n = len(kinds)
+        bounds = [0, *(np.flatnonzero(np.diff(kinds)) + 1).tolist(), n]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            signature = signatures[kinds[lo]]
+            amplitudes = np.concatenate(
+                [np.asarray(signature.accel_amplitude), np.asarray(signature.gyro_amplitude)]
+            )
+            gravity = np.concatenate([np.asarray(signature.gravity), np.zeros(3)])
+
+            rows = signal[lo:hi]
+            rows[...] = gravity[:, None]
+            omega_t = (_TWO_PI * draws.freq[lo:hi])[:, None, None] * self._time
+            phases = _AXIS_PHASE[:, None] + draws.phase[lo:hi, None, None]
+            scaled = amplitudes[:, None] * draws.amp_scale[lo:hi, None, None]
+            term = scratch[lo:hi]
+            for order, weight in enumerate(signature.harmonics, start=1):
+                if weight <= 0:
+                    continue
+                np.add(order * omega_t, order * phases, out=term)
+                np.sin(term, out=term)
+                term *= scaled * weight
+                rows += term
+            if signature.impact > 0:
+                rows[:, :3] += impacts[lo:hi]
+        signal[:n] *= draws.gains[:, :, None]
+        signal[:n] += noise[:n]
+
+
+@dataclass(frozen=True)
+class _BlockDraws:
+    """One block's per-row draws, rows sorted by signature."""
+
+    kinds: np.ndarray
+    freq: np.ndarray
+    amp_scale: np.ndarray
+    phase: np.ndarray
+    gains: np.ndarray
+
+
+def _per_window(value, kind: type, count: int, name: str) -> list:
+    """``value`` as ``count`` per-window entries: one shared value
+    repeated, or a sequence that must have exactly ``count`` entries."""
+    if value is None or isinstance(value, kind):
+        return [value] * count
+    values = list(value)
+    if len(values) != count:
+        raise DatasetError(f"{name} has {len(values)} entries, expected {count}")
+    return values

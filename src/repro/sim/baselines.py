@@ -90,11 +90,8 @@ def per_sensor_accuracy(
     for location in spec.locations:
         node_id = bundle.node_id_of(location)
         rng = factory.generator(f"windows/{location.value}")
-        batch = np.stack(
-            [
-                dataset.synthesizer.window(activity, location, subject, rng, style=style)
-                for activity, style in zip(labels, styles)
-            ]
+        batch = dataset.synthesizer.batch(
+            labels, location, subject=subject, seed=rng, style=styles
         )
         votes[node_id] = models[node_id].predict(batch)
         report = {}
@@ -166,12 +163,7 @@ def evaluate_baseline(
     for row, location in enumerate(spec.locations):
         node_id = bundle.node_id_of(location)
         rng = factory.generator(f"windows/{location.value}")
-        batch = np.stack(
-            [
-                synthesizer.window(activity, location, subject, rng, style=style)
-                for activity, style in zip(labels, styles)
-            ]
-        )
+        batch = synthesizer.batch(labels, location, subject=subject, seed=rng, style=styles)
         if window_transform is not None:
             batch = np.stack([window_transform(window) for window in batch])
         votes[row] = models[node_id].predict(batch)

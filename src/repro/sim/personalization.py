@@ -163,11 +163,8 @@ class PersonalizationExperiment:
         votes = {}
         for node_id in sorted(models):
             location = bundle.location_of(node_id)
-            batch = np.stack(
-                [
-                    dataset.synthesizer.window(activity, location, subject, rng, style=style)
-                    for activity, style in zip(labels, styles)
-                ]
+            batch = dataset.synthesizer.batch(
+                labels, location, subject=subject, seed=rng, style=styles
             )
             votes[node_id] = models[node_id].predict_proba(batch)
         correct = 0
@@ -221,11 +218,8 @@ class PersonalizationExperiment:
             probabilities = {}
             for node_id in node_ids:
                 location = locations[node_id]
-                batch = np.stack(
-                    [
-                        synthesizer.window(activity, location, user, rng, style=style)
-                        for activity, style in zip(labels, styles)
-                    ]
+                batch = synthesizer.batch(
+                    labels, location, subject=user, seed=rng, style=styles
                 )
                 snr = self.snr_db - float(rng.uniform(0.0, 6.0))
                 batch = add_gaussian_noise_snr(batch, snr, rng)

@@ -33,7 +33,6 @@ import numpy as np
 from repro.datasets.activities import Activity
 from repro.datasets.base import HARDataset
 from repro.datasets.markov import MarkovActivityModel
-from repro.datasets.profiles import N_CHANNELS
 from repro.datasets.subjects import SubjectProfile
 from repro.datasets.synthesis import StyleWobble
 from repro.errors import ConfigurationError
@@ -189,14 +188,9 @@ def build_run_material(
         for location in spec.locations:
             node_id = bundle.node_id_of(location)
             rng = factory.generator(f"windows/{location.value}")
-            stream = np.empty(
-                (n_windows, N_CHANNELS, synthesizer.window_size), dtype=np.float32
+            windows[node_id] = synthesizer.batch(
+                labels, location, subject=subject, seed=rng, style=styles
             )
-            for slot, activity in enumerate(labels):
-                stream[slot] = synthesizer.window(
-                    activity, location, subject, rng, style=styles[slot]
-                )
-            windows[node_id] = stream
 
     probabilities: Optional[Dict[int, np.ndarray]] = None
     if with_predictions:
