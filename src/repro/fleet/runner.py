@@ -168,7 +168,10 @@ class _ReferenceMemo:
     the cohort's base config (dwell excepted — dwell shapes the
     timeline itself), so ``accuracy_drop`` isolates the *energy*
     heterogeneity.  Pure function of ``(experiment, spec, policies)``:
-    every shard computes identical references.
+    every shard computes identical references.  The mega-batched
+    :func:`simulate_users` runs missing twins inside the users' own
+    kernel batch (:meth:`missing`, :meth:`group`, :meth:`store`);
+    :meth:`results` runs one on its own.
     """
 
     def __init__(
@@ -182,28 +185,44 @@ class _ReferenceMemo:
         self.policies = list(policies)
         self._entries: Dict[Tuple[int, float], List[ExperimentResult]] = {}
 
+    def missing(
+        self, prepared: Sequence[Tuple[UserSpec, RunMaterial]]
+    ) -> List[Tuple[Tuple[int, float], RunMaterial]]:
+        """``(key, material)`` of each twin the users need and the memo
+        lacks, once per key, in first-user order."""
+        wanted: Dict[Tuple[int, float], RunMaterial] = {}
+        for user, material in prepared:
+            key = user.material_key
+            if key not in self._entries and key not in wanted:
+                wanted[key] = material
+        return list(wanted.items())
+
+    def group(self, key: Tuple[int, float], material: RunMaterial) -> BatchGroup:
+        """The kernel group computing the twin for ``key``."""
+        seed, dwell = key
+        return BatchGroup(
+            policies=self.policies,
+            seed=seed,
+            config=replace(self.spec.base, dwell_scale=dwell),
+            material=material,
+        )
+
+    def store(self, key: Tuple[int, float], results: List[ExperimentResult]) -> None:
+        # Slicing copies each table out of its batch's shared column
+        # block, which the memo would otherwise keep alive for the run.
+        self._entries[key] = [
+            replace(result, records=result.records[:]) for result in results
+        ]
+
     def results(
         self, user: UserSpec, material: RunMaterial
     ) -> List[ExperimentResult]:
         key = user.material_key
         cached = self._entries.get(key)
-        if cached is not None:
-            return cached
-        seed, dwell = key
-        reference_config = replace(self.spec.base, dwell_scale=dwell)
-        results = run_group_batch(
-            self.experiment,
-            [
-                BatchGroup(
-                    policies=self.policies,
-                    seed=seed,
-                    config=reference_config,
-                    material=material,
-                )
-            ],
-        )[0]
-        self._entries[key] = results
-        return results
+        if cached is None:
+            cached = run_group_batch(self.experiment, [self.group(key, material)])[0]
+            self.store(key, cached)
+        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +237,7 @@ def simulate_users(
     *,
     mega: bool = True,
     materials: Optional[_MaterialMemo] = None,
+    references: Optional[_ReferenceMemo] = None,
 ) -> List[List[ExperimentResult]]:
     """Run every policy for every user; one result row per user.
 
@@ -227,6 +247,11 @@ def simulate_users(
     ``HARExperiment.run`` that the benchmark's identity assertion and
     speedup headline compare against.  Both paths consume identical
     materials, so their results are byte-identical.
+
+    With ``mega`` and a ``references`` memo, every base-config twin the
+    users need and the memo lacks joins the same batch as one more
+    group; the memo keeps those results and the returned rows are still
+    the users' only, row ``i`` for ``users[i]``.
     """
     users = list(users)
     if not users:
@@ -243,7 +268,12 @@ def simulate_users(
             )
             for user, material in prepared
         ]
-        return run_group_batch(experiment, groups)
+        twins = references.missing(prepared) if references is not None else []
+        groups.extend(references.group(key, material) for key, material in twins)
+        results = run_group_batch(experiment, groups)
+        for (key, _), twin in zip(twins, results[len(users):]):
+            references.store(key, twin)
+        return results[: len(users)]
     rows: List[List[ExperimentResult]] = []
     for user, material in prepared:
         solo = copy.copy(experiment)
@@ -281,7 +311,9 @@ def shard_aggregate(
         if references is not None
         else _ReferenceMemo(experiment, spec, policies)
     )
-    rows = simulate_users(experiment, users, policies, mega=mega, materials=memo)
+    rows = simulate_users(
+        experiment, users, policies, mega=mega, materials=memo, references=refs
+    )
     for user, row in zip(users, rows):
         material = memo.material(user)
         reference_row = refs.results(user, material)

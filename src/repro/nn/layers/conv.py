@@ -1,7 +1,7 @@
 """1-D convolution over (batch, channels, length) inputs.
 
 Implemented with an im2col transform so the heavy lifting is a single
-matrix multiply; the backward pass reuses the cached columns.  Valid
+matrix multiply; training caches the columns for the backward pass.  Valid
 padding, unit stride — sufficient for the paper's small HAR CNNs while
 keeping the energy model exact (every MAC is accounted for).
 """
@@ -93,13 +93,34 @@ class Conv1D(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._check_input(x)
-        cols = im2col_1d(x.astype(np.float64, copy=False), self.kernel_size)
+        x = x.astype(np.float64, copy=False)
         if training:
-            self._cached_cols = cols
+            self._cached_cols = im2col_1d(x, self.kernel_size)
             self._cached_input_shape = x.shape
+        return self._product(x) + self.b[None, :, None]
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """``W`` applied to every window of ``x``, as ``(B, F, L_out)``.
+
+        Bytewise equal to ``einsum("fk,bkl->bfl", W, im2col_1d(x),
+        optimize=True)``, which numpy evaluates as one BLAS product of
+        the ``(B*L_out, C*K)`` columns with ``W^T``.  The columns are
+        built once, straight in that layout, instead of as ``(B, C*K,
+        L_out)`` and then transposed into a second copy.  For a batch of
+        one or a ``C*K == 1`` filter recent numpy picks other operand
+        layouts, so those shapes keep the einsum.
+        """
+        batch = x.shape[0]
         w_flat = self.W.reshape(self.filters, -1)  # (F, C*K)
-        out = np.einsum("fk,bkl->bfl", w_flat, cols, optimize=True)
-        return out + self.b[None, :, None]
+        if batch == 1 or w_flat.shape[1] == 1:
+            cols = im2col_1d(x, self.kernel_size)
+            return np.einsum("fk,bkl->bfl", w_flat, cols, optimize=True)
+        # (B, C, L_out, K) view -> contiguous (B, L_out, C, K) rows.
+        windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel_size, axis=2)
+        l_out = windows.shape[2]
+        cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(batch * l_out, -1)
+        out = np.dot(cols, w_flat.T)  # (B*L_out, F)
+        return out.reshape(batch, l_out, self.filters).transpose(0, 2, 1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cached_cols is None:

@@ -138,13 +138,13 @@ def encode_experiment_result(result: ExperimentResult) -> Dict[str, Any]:
         "activities": [activity.value for activity in result.activities],
         "records": [
             [
-                int(record.slot_index),
-                int(record.true_label),
-                None if record.predicted_label is None else int(record.predicted_label),
-                [int(node_id) for node_id in record.active_nodes],
-                int(record.completions),
-                int(record.attempts),
-                int(record.dropped_messages),
+                record.slot_index,
+                record.true_label,
+                record.predicted_label,
+                list(record.active_nodes),
+                record.completions,
+                record.attempts,
+                record.dropped_messages,
             ]
             for record in result.records
         ],
@@ -201,29 +201,21 @@ def _encode_fault_stats(stats: FaultStats) -> Dict[str, Any]:
 
 def decode_experiment_result(data: Dict[str, Any]) -> "ExperimentResult":
     """Rebuild the exact :class:`ExperimentResult` a cell recorded."""
-    from repro.sim.results import ExperimentResult, SlotRecord
+    from repro.sim.results import ExperimentResult, SlotTable
 
     result = ExperimentResult(
         policy_name=data["policy_name"],
         activities=[Activity(value) for value in data["activities"]],
     )
-    result.records = [
-        SlotRecord(
-            slot_index=slot_index,
-            true_label=true_label,
-            predicted_label=predicted,
-            active_nodes=tuple(active),
-            completions=completions,
-            attempts=attempts,
-            dropped_messages=dropped,
-        )
-        for slot_index, true_label, predicted, active, completions, attempts, dropped
-        in data["records"]
-    ]
     result.node_stats = {
         int(node_id): NodeStats(**stats)
         for node_id, stats in data["node_stats"].items()
     }
+    # The run's nodes give the table its node order.
+    records = SlotTable(node_ids=list(result.node_stats))
+    for row in data["records"]:
+        records.append_row(*row)
+    result.records = records
     result.comm_energy_j = float(data["comm_energy_j"])
     result.confidence_updates = int(data["confidence_updates"])
     if data.get("fault_stats") is not None:

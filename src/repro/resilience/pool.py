@@ -43,6 +43,9 @@ from repro.obs.observer import NULL_OBS, Observability
 
 logger = logging.getLogger(__name__)
 
+#: How long a hard kill waits for the executor's management thread.
+_MANAGER_JOIN_S = 0.5
+
 
 @dataclass
 class SupervisedTask:
@@ -393,17 +396,32 @@ class SupervisedPool:
         self._kill_pool()
 
     def _kill_pool(self) -> None:
-        """Tear the executor down hard, reaping hung/dead workers."""
+        """Tear the executor down hard, reaping hung/dead workers.
+
+        The worker snapshot is taken only after ``shutdown`` has flagged
+        the executor and its management thread has finished (or stalled
+        on a hung worker), so no worker it starts in between escapes the
+        kill.  The thread is joined again after the kill so that it is
+        not still reaping a worker when this returns.
+        """
         pool, self._pool = self._pool, None
         if pool is None:
             return
-        # _processes is CPython-internal but stable across 3.8+; it is
-        # the only handle on hung workers, which ignore shutdown().
-        workers = list(dict(getattr(pool, "_processes", None) or {}).values())
+        # CPython internals, stable across 3.8+: the worker dict (shared
+        # with the management thread; shutdown() drops the executor's
+        # reference to it) is the only handle on hung workers, which
+        # ignore shutdown().
+        processes = getattr(pool, "_processes", None)
+        manager = getattr(pool, "_executor_manager_thread", None)
         pool.shutdown(wait=False, cancel_futures=True)
+        if manager is not None:
+            manager.join(timeout=_MANAGER_JOIN_S)
+        workers = list(dict(processes or {}).values())
         for proc in workers:
             if proc.is_alive():
                 proc.terminate()
+        if manager is not None:
+            manager.join(timeout=_MANAGER_JOIN_S)
         for proc in workers:
             proc.join(timeout=2.0)
             if proc.is_alive():  # pragma: no cover - stubborn worker

@@ -15,7 +15,7 @@
 """
 
 from repro.sim.training import TrainedLocationModel, TrainedSensorBundle, TrainingConfig
-from repro.sim.results import CompletionBreakdown, ExperimentResult, SlotRecord
+from repro.sim.results import CompletionBreakdown, ExperimentResult, SlotRecord, SlotTable
 from repro.sim.experiment import HARExperiment, SimulationConfig
 from repro.sim.kernel import (
     BatchGroup,
@@ -39,6 +39,7 @@ __all__ = [
     "CompletionBreakdown",
     "ExperimentResult",
     "SlotRecord",
+    "SlotTable",
     "HARExperiment",
     "SimulationConfig",
     "BatchGroup",

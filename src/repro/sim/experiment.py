@@ -39,7 +39,7 @@ from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.obs.observer import NULL_OBS, Observability
 from repro.sim.predcache import RunMaterial, build_run_material, default_subject
-from repro.sim.results import ExperimentResult, SlotRecord
+from repro.sim.results import ExperimentResult, SlotTable
 from repro.sim.training import TrainedSensorBundle, TrainingConfig
 from repro.utils.rng import SeedSequenceFactory
 from repro.wsn.comm import CommLink, RadioProfile
@@ -499,7 +499,11 @@ class HARExperiment:
                 n_windows=config.n_windows,
                 n_nodes=len(nodes),
             )
-        result = ExperimentResult(policy_name=policy.name, activities=list(spec.activities))
+        result = ExperimentResult(
+            policy_name=policy.name,
+            activities=list(spec.activities),
+            records=SlotTable(node_ids=[node.node_id for node in nodes]),
+        )
         nodes_by_id = {node.node_id: node for node in nodes}
 
         for slot in range(config.n_windows):
@@ -553,18 +557,16 @@ class HARExperiment:
                     else None
                 ),
             )
-            result.records.append(
-                SlotRecord(
-                    slot_index=slot,
-                    true_label=true_label,
-                    predicted_label=final,
-                    active_nodes=tuple(active),
-                    completions=sum(1 for o in outcomes if o.completed),
-                    attempts=len(outcomes),
-                    dropped_messages=sum(
-                        1 for o in outcomes if o.completed and not o.delivered
-                    ),
-                )
+            # Schedulers emit active sets in node order; the table
+            # raises on any other order rather than reorder it.
+            result.records.append_row(
+                slot,
+                true_label,
+                final,
+                active,
+                sum(1 for o in outcomes if o.completed),
+                len(outcomes),
+                sum(1 for o in outcomes if o.completed and not o.delivered),
             )
 
         result.node_stats = {node.node_id: node.stats for node in nodes}
@@ -604,17 +606,13 @@ class HARExperiment:
         determinism contract of :mod:`repro.obs.metrics`).
         """
         metrics = obs.metrics
-        attempts = completions = dropped = correct = 0
-        for record in result.records:  # one pass over the run's records
-            attempts += record.attempts
-            completions += record.completions
-            dropped += record.dropped_messages
-            correct += record.predicted_label == record.true_label
+        records = result.records
+        correct = int(np.count_nonzero(records.predicted_label == records.true_label))
         metrics.inc("sim.runs")
         metrics.inc("sim.slots", result.n_slots)
-        metrics.inc("sim.attempts", attempts)
-        metrics.inc("sim.completions", completions)
-        metrics.inc("sim.messages_dropped", dropped)
+        metrics.inc("sim.attempts", result.total_attempts)
+        metrics.inc("sim.completions", result.total_completions)
+        metrics.inc("sim.messages_dropped", result.total_dropped_messages)
         metrics.inc("sim.confidence_updates", result.confidence_updates)
         metrics.inc("sim.decisions", host.decisions_made)
         metrics.inc("sim.messages_received", host.messages_received)

@@ -21,8 +21,9 @@ Two stages:
   adaptation and link energy — is a
   :class:`~repro.core.decision_kernel.DecisionKernel` over the same
   lanes, so a slot of the whole batch is a fixed number of numpy
-  statements; only the final :class:`~repro.sim.results.SlotRecord`
-  lists are built per run, after the loop.
+  statements; after the loop every run's per-slot columns are cut from
+  the decision histories as one :class:`~repro.sim.results.SlotTable`
+  block.
 
 Byte-identity contract
 ----------------------
@@ -56,7 +57,7 @@ imperatively).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -65,7 +66,7 @@ from repro.core.decision_kernel import DecisionKernel, LaneRun
 from repro.core.policies import PolicySpec
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.predcache import RunMaterial, build_run_material, default_subject
-from repro.sim.results import ExperimentResult, SlotRecord
+from repro.sim.results import ExperimentResult, SlotTable
 from repro.utils.rng import SeedSequenceFactory
 from repro.wsn.comm import CommLink
 from repro.wsn.node import InferenceOutcome, NodeStats, SensorNode
@@ -406,19 +407,17 @@ class SlotKernel:
     # results
     # ------------------------------------------------------------------
 
+    #: The NodeStats counters, which SlotKernel keeps under the same names.
+    _STAT_FIELDS = tuple(f.name for f in fields(NodeStats))
+
+    def all_lane_stats(self) -> List[NodeStats]:
+        """Every lane's counters as plain-python :class:`NodeStats`, in lane order."""
+        columns = [getattr(self, name).tolist() for name in self._STAT_FIELDS]
+        return [NodeStats(*values) for values in zip(*columns)]
+
     def lane_stats(self, lane: int) -> NodeStats:
         """One lane's counters as a plain-python :class:`NodeStats`."""
-        return NodeStats(
-            slots=int(self.slots[lane]),
-            active_slots=int(self.active_slots[lane]),
-            attempts_started=int(self.attempts_started[lane]),
-            completions=int(self.completions[lane]),
-            failed_active_slots=int(self.failed_active_slots[lane]),
-            harvested_j=float(self.harvested_j[lane]),
-            consumed_j=float(self.consumed_j[lane]),
-            comm_j=float(self.comm_j[lane]),
-            leaked_j=float(self.leaked_j[lane]),
-        )
+        return NodeStats(*(getattr(self, name)[lane].item() for name in self._STAT_FIELDS))
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +557,7 @@ class _MaterialTable:
         self._spec = experiment.dataset.spec
         self._index: dict = {}
         self._materials: List[RunMaterial] = []  # keeps every id() alive
-        self.true_labels: List[List[int]] = []
+        self.true_labels: List[np.ndarray] = []  # (n_slots,) int64 class indices
         self.predicted: List[np.ndarray] = []  # (n_nodes, n_slots) argmax labels
         self.confidences: List[np.ndarray] = []  # (n_nodes, n_slots) variances
 
@@ -568,7 +567,9 @@ class _MaterialTable:
             self._index[key] = len(self._materials)
             self._materials.append(material)
             predictions = material.class_predictions()
-            self.true_labels.append([self._spec.label_of(label) for label in material.labels])
+            self.true_labels.append(
+                np.array([self._spec.label_of(label) for label in material.labels], dtype=np.int64)
+            )
             self.predicted.append(np.stack([predictions[n][0] for n in node_ids]))
             self.confidences.append(np.stack([predictions[n][1] for n in node_ids]))
         return self._index[key]
@@ -716,20 +717,31 @@ def run_group_batch(
 def _results(
     experiment, states, table: _MaterialTable, kernel: SlotKernel, decisions: DecisionKernel
 ):
-    """Every run's :class:`ExperimentResult` from the batch's histories."""
+    """Every run's :class:`ExperimentResult` from the batch's histories.
+
+    The per-slot columns of every run are built as one
+    ``(n_runs, 7, n_slots)`` block and handed out as per-run
+    :class:`SlotTable` views; only the per-node counters and the result
+    objects themselves are built per run.
+    """
     n_slots, n_runs, n_nodes = decisions.n_slots, decisions.n_runs, decisions.n_nodes
     node_ids = decisions.node_ids
     active = decisions.active_history.reshape(n_slots, n_runs, n_nodes)
     completed = decisions.completed_history.reshape(n_slots, n_runs, n_nodes)
-    # Active sets as node-order bitmasks -> the scheduler's id tuples.
-    codes = (active * (1 << np.arange(n_nodes))).sum(axis=2).T.tolist()
-    patterns = {
-        code: tuple(node_ids[k] for k in range(n_nodes) if code >> k & 1)
-        for code in set().union(*codes)
-    }
-    finals = decisions.final_history.T.tolist()
-    attempts = active.sum(axis=2).T.tolist()
-    completions = completed.sum(axis=2).T.tolist()
+    run_material = np.array([state.material for state in states for _ in state.policies])
+
+    block = np.empty((n_runs, 7, n_slots), dtype=np.int64)
+    block[:, 0] = np.arange(n_slots)
+    block[:, 1] = np.stack(table.true_labels)[run_material]
+    block[:, 2] = decisions.final_history.T
+    # Active sets as node-order bitmasks.
+    block[:, 3] = (active * (1 << np.arange(n_nodes))).sum(axis=2).T
+    block[:, 4] = completed.sum(axis=2).T
+    block[:, 5] = active.sum(axis=2).T
+    block[:, 6] = 0
+    tables = SlotTable.from_runs(block, node_ids)
+
+    lane_stats = kernel.all_lane_stats()
     link_energy = decisions.link_energy_j.tolist()
     updates = decisions.confidence_updates.tolist()
     activities = experiment.dataset.spec.activities
@@ -740,32 +752,13 @@ def _results(
         group_results: List[ExperimentResult] = []
         for spec in state.policies:
             lanes = range(r * n_nodes, (r + 1) * n_nodes)
-            records = [
-                SlotRecord(
-                    slot,
-                    true_label,
-                    None if final < 0 else final,
-                    patterns[code],
-                    n_completed,
-                    n_attempted,
-                )
-                for slot, true_label, final, code, n_completed, n_attempted in zip(
-                    range(n_slots),
-                    table.true_labels[state.material],
-                    finals[r],
-                    codes[r],
-                    completions[r],
-                    attempts[r],
-                )
-            ]
             group_results.append(
                 ExperimentResult(
                     policy_name=spec.name,
                     activities=list(activities),
-                    records=records,
+                    records=tables[r],
                     node_stats={
-                        node_id: kernel.lane_stats(lane)
-                        for node_id, lane in zip(node_ids, lanes)
+                        node_id: lane_stats[lane] for node_id, lane in zip(node_ids, lanes)
                     },
                     # The scalar path's sum over per-node links, in order.
                     comm_energy_j=sum(link_energy[lane] for lane in lanes),

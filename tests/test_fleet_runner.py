@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,8 +12,10 @@ from repro.core.policies import aas_policy, origin_policy, rr_policy
 from repro.errors import ConfigurationError, FleetError
 from repro.fleet import CohortSpec, FleetRunner
 from repro.fleet.aggregate import FleetAggregate
+import repro.fleet.runner as runner_mod
 from repro.fleet.runner import (
     _MaterialMemo,
+    _ReferenceMemo,
     default_metric_bounds,
     shard_aggregate,
     shard_cell,
@@ -61,6 +65,64 @@ class TestSimulateUsers:
 
     def test_empty_users(self, tiny_experiment):
         assert simulate_users(tiny_experiment, [], [origin_policy(12)]) == []
+
+
+class TestFoldedReferences:
+    """Base-config twins run inside the users' kernel batch."""
+
+    #: ``stats_json`` of the cohort below, captured while each twin was
+    #: still a kernel batch of its own.
+    FROZEN_STATS_SHA256 = "f22dcfcf003fbfb0afdc66f80be473c212bf8fb9891490a59b9ac2c3f1d23159"
+
+    def test_stats_json_unchanged(self, tiny_experiment):
+        spec = CohortSpec(
+            size=24, seed=9, base=replace(tiny_experiment.config, n_windows=40), n_timelines=2
+        )
+        fleet = FleetRunner(
+            tiny_experiment, spec, policies=[origin_policy(12), origin_policy(3)], shard_size=12
+        ).run()
+        assert fleet.shards == 2
+        stats = fleet.aggregate.stats_json().encode()
+        assert hashlib.sha256(stats).hexdigest() == self.FROZEN_STATS_SHA256
+
+    def test_one_batch_per_shard_and_user_rows_only(
+        self, tiny_experiment, fleet_spec, monkeypatch
+    ):
+        policies = [origin_policy(12), rr_policy(3)]
+        batches = []
+        real = runner_mod.run_group_batch
+
+        def counting(experiment, groups):
+            batches.append(len(groups))
+            return real(experiment, groups)
+
+        monkeypatch.setattr(runner_mod, "run_group_batch", counting)
+        users = list(fleet_spec.users(0, 6))
+        references = _ReferenceMemo(tiny_experiment, fleet_spec, policies)
+        memo = _MaterialMemo(tiny_experiment)
+        rows = simulate_users(
+            tiny_experiment, users, policies, materials=memo, references=references
+        )
+        twins = {user.material_key for user in users}
+        assert batches == [len(users) + len(twins)]
+        assert len(rows) == len(users)
+        plain = simulate_users(tiny_experiment, users, policies, materials=memo)
+        for row, alone in zip(rows, plain):
+            for result, expected in zip(row, alone):
+                assert result.records == expected.records
+                assert result.node_stats == expected.node_stats
+
+        # Every twin equals the one its own batch computes, and a second
+        # call finds them all in the memo.
+        alone = _ReferenceMemo(tiny_experiment, fleet_spec, policies)
+        for user in users:
+            folded = references.results(user, memo.material(user))
+            solo = alone.results(user, memo.material(user))
+            assert [r.records for r in folded] == [r.records for r in solo]
+            assert [r.node_stats for r in folded] == [r.node_stats for r in solo]
+        batches.clear()
+        simulate_users(tiny_experiment, users, policies, materials=memo, references=references)
+        assert batches == [len(users)]
 
 
 class TestShardInvariance:

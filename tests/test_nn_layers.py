@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ModelError
 from repro.nn.layers import (
@@ -212,3 +214,68 @@ class TestSoftmax:
     def test_stable_for_large_logits(self):
         probs = softmax(np.array([[1000.0, 1000.0]]))
         np.testing.assert_allclose(probs, [[0.5, 0.5]])
+
+
+# ---------------------------------------------------------------------------
+# Conv1D forward layout: byte-equal to the einsum it replaced
+# ---------------------------------------------------------------------------
+
+
+def _einsum_forward(layer, x, training=False):
+    """``Conv1D.forward`` as it was: im2col columns and one einsum."""
+    layer._check_input(x)
+    cols = im2col_1d(x.astype(np.float64, copy=False), layer.kernel_size)
+    if training:
+        layer._cached_cols = cols
+        layer._cached_input_shape = x.shape
+    w_flat = layer.W.reshape(layer.filters, -1)  # (F, C*K)
+    out = np.einsum("fk,bkl->bfl", w_flat, cols, optimize=True)
+    return out + layer.b[None, :, None]
+
+
+def _assert_same_array(fast, slow):
+    assert fast.shape == slow.shape and fast.dtype == slow.dtype
+    assert fast.strides == slow.strides
+    assert fast.tobytes() == slow.tobytes()
+
+
+class TestConvForwardLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batch=st.integers(1, 40),
+        channels=st.integers(1, 9),
+        length=st.integers(1, 70),
+        kernel=st.integers(1, 9),
+        filters=st.integers(1, 20),
+        seed=st.integers(0, 2**31 - 1),
+        training=st.booleans(),
+    )
+    def test_bytes_equal_einsum(self, batch, channels, length, kernel, filters, seed, training):
+        kernel = min(kernel, length)
+        layer = Conv1D(filters, kernel, seed=seed)
+        layer.build((channels, length))
+        rng = np.random.default_rng(seed)
+        layer.b[...] = rng.standard_normal(filters)
+        x = rng.standard_normal((batch, channels, length))
+        slow = _einsum_forward(layer, x, training=training)
+        slow_cols = layer._cached_cols
+        layer._cached_cols = None
+        fast = layer.forward(x, training=training)
+        _assert_same_array(fast, slow)
+        if training:
+            _assert_same_array(layer._cached_cols, slow_cols)
+            grad = rng.standard_normal(fast.shape)
+            np.testing.assert_array_equal(layer.backward(grad), layer.backward(grad))
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_bundle_models_softmax_unchanged(self, tiny_bundle, pruned, monkeypatch):
+        rng = np.random.default_rng(4)
+        for model in tiny_bundle.models(pruned=pruned).values():
+            assert any(isinstance(layer, Conv1D) for layer in model.layers)
+            for batch in (1, 44, 255, 256):
+                x = rng.standard_normal((batch, *model.input_shape)).astype(np.float32)
+                fast = model.predict_proba(x)
+                with monkeypatch.context() as patch:
+                    patch.setattr(Conv1D, "forward", _einsum_forward)
+                    slow = model.predict_proba(x)
+                _assert_same_array(fast, slow)

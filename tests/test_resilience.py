@@ -39,6 +39,7 @@ from repro.resilience import (
 from repro.resilience.__main__ import main as journal_cli
 from repro.sim.baselines import BaselineResult
 from repro.sim.experiment import HARExperiment, SimulationConfig
+from repro.sim.results import SlotRecord
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +207,29 @@ def _json_roundtrip(document):
     return json.loads(json.dumps(document, sort_keys=True))
 
 
+#: One journal cell line written by the codec while results were still
+#: lists of ``SlotRecord`` objects.  A journal written then must resume
+#: unchanged.
+GOLDEN_CELL_LINE = (
+    '{"cell": "policy:Origin-12:abc:seed=3", "kind": "cell", "payload": {"a'
+    'ctivities": ["walking", "running", "cycling"], "comm_energy_j": 6e-06,'
+    ' "confidence_updates": 4, "fault_stats": null, "node_stats": {"0": {"a'
+    'ctive_slots": 3, "attempts_started": 2, "comm_j": 2e-06, "completions"'
+    ': 1, "consumed_j": 0.000125, "failed_active_slots": 2, "harvested_j": '
+    '0.00015, "leaked_j": 3e-07, "slots": 6}, "1": {"active_slots": 2, "att'
+    'empts_started": 2, "comm_j": 4e-06, "completions": 2, "consumed_j": 0.'
+    '0002, "failed_active_slots": 0, "harvested_j": 0.00025, "leaked_j": 1e'
+    '-07, "slots": 6}, "2": {"active_slots": 0, "attempts_started": 0, "com'
+    'm_j": 0.0, "completions": 0, "consumed_j": 0.0, "failed_active_slots":'
+    ' 0, "harvested_j": 0.0, "leaked_j": 0.0, "slots": 0}}, "policy_name": '
+    '"Origin-12", "records": [[0, 0, null, [], 0, 0, 0], [1, 0, null, [0], '
+    '0, 1, 0], [2, 1, 0, [1], 1, 1, 0], [3, 1, 1, [0, 1, 2], 2, 3, 1], [4, '
+    '2, 1, [2], 1, 1, 1], [5, 2, 2, [0, 2], 0, 2, 0]], "type": "experiment"'
+    '}}'
+)
+GOLDEN_CELL = "policy:Origin-12:abc:seed=3"
+
+
 class TestPayloadRoundTrip:
     def test_experiment_result_exact(self, tiny_experiment):
         run = tiny_experiment.run(
@@ -221,6 +245,31 @@ class TestPayloadRoundTrip:
         assert decoded.comm_energy_j == run.comm_energy_j
         assert decoded.confidence_updates == run.confidence_updates
         assert decoded.fault_stats == run.fault_stats
+
+    def test_pre_columnar_journal_line_resumes(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        header = {"fingerprint": "fp", "kind": "sweep-journal", "schema_version": 1}
+        path.write_text(json.dumps(header, sort_keys=True) + "\n" + GOLDEN_CELL_LINE + "\n")
+        with SweepJournal.open(str(path), "fp") as journal:
+            payload = journal.get(GOLDEN_CELL)
+        result = decode_experiment_result(payload)
+        assert result.records == [
+            SlotRecord(0, 0, None, (), 0, 0),
+            SlotRecord(1, 0, None, (0,), 0, 1),
+            SlotRecord(2, 1, 0, (1,), 1, 1),
+            SlotRecord(3, 1, 1, (0, 1, 2), 2, 3, 1),
+            SlotRecord(4, 2, 1, (2,), 1, 1, 1),
+            SlotRecord(5, 2, 2, (0, 2), 0, 2),
+        ]
+        assert result.records.node_ids == (0, 1, 2)
+        assert result.total_dropped_messages == 2
+        assert result.event_accuracy == 1 / 3
+        # Re-encoding writes the very same cell line.
+        line = json.dumps(
+            {"cell": GOLDEN_CELL, "kind": "cell", "payload": encode_experiment_result(result)},
+            sort_keys=True,
+        )
+        assert line == GOLDEN_CELL_LINE
 
     def test_baseline_result_exact(self, tiny_experiment):
         result = BaselineResult(

@@ -19,7 +19,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.policies import aas_policy, aasr_policy, origin_policy, rr_policy
+from repro.core.policies import (
+    aas_policy,
+    aasr_policy,
+    naive_policy,
+    origin_policy,
+    rr_policy,
+)
 from repro.datasets.body import BodyLocation
 from repro.datasets.pamap2 import make_pamap2
 from repro.energy.harvester import Harvester
@@ -36,7 +42,7 @@ from repro.sim.kernel import (
     run_node_schedule,
     run_policy_batch,
 )
-from repro.sim.sweep import PolicySweep
+from repro.sim.sweep import PolicySweep, paper_policy_grid
 from repro.sim.training import TrainedSensorBundle, TrainingConfig
 from repro.wsn.comm import CommLink, RadioProfile
 from repro.wsn.node import NodeCosts, SensorNode
@@ -413,6 +419,16 @@ class TestBatchIdentity:
         for spec, fast in zip(GRID, batch):
             slow = tiny_experiment.run(spec, seed=seed, kernel=False)
             _assert_results_equal(fast, slow)
+
+    def test_records_equal_across_policy_ladder(self, tiny_experiment):
+        ladder = paper_policy_grid() + [naive_policy(), origin_policy(12, adaptive=False)]
+        batch = run_policy_batch(tiny_experiment, ladder, 17)
+        for spec, fast in zip(ladder, batch):
+            slow = tiny_experiment.run(spec, seed=17, kernel=False)
+            assert fast.records == slow.records
+            # Record by record too, not only the column fast path.
+            assert list(fast.records) == list(slow.records)
+            assert fast.records.node_ids == slow.records.node_ids
 
     def test_run_auto_routes_identically(self, tiny_experiment):
         fast = tiny_experiment.run(origin_policy(3), seed=5)  # kernel auto
